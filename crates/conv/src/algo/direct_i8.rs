@@ -13,7 +13,7 @@
 //!    the combined compensation row), then `Z` is de-quantized into the
 //!    blocked output.
 
-use lowino_gemm::kernel::{microkernel, Seed};
+use lowino_gemm::kernel::{col_tile, microkernel, Seed};
 use lowino_gemm::{Blocking, GemmShape, UPanel, ZPanel};
 use lowino_quant::QParams;
 use lowino_simd::vecf32::VecTier;
@@ -138,7 +138,10 @@ impl ConvExecutor for DirectInt8Conv {
         let ConvContext { pool, tier, .. } = ctx;
         let tier = *tier;
         let vt = VecTier::for_simd(tier);
-        let kp = self.u_panel.kp();
+        // The GEMM walks the real extent (C to 4, K to 16), not the 64-padded
+        // panel storage: padded U bytes are 0, and Z lanes past `kw` keep the
+        // zeros `ZPanel::new` gave them.
+        let (cw, kw) = shape.walk();
         let zp: &ZPanel = &self.z_panel;
         let up: &UPanel = &self.u_panel;
         let qb: &AlignedBuf<u8> = &self.qbuf;
@@ -200,11 +203,11 @@ impl ConvExecutor for DirectInt8Conv {
             1 => {
                 let _span = lowino_trace::span("direct_i8/gemm");
                 // Each task (one output row) runs r² shifted passes of an
-                // out_w × cp × kp product.
+                // out_w × cw × kw product.
                 if lowino_trace::enabled() {
                     lowino_trace::counter(
                         "gemm/dpbusd_macs",
-                        (range.len() * out_w * cp * kp * r * r) as u64,
+                        (range.len() * out_w * cw * kw * r * r) as u64,
                     );
                 }
                 for task in range {
@@ -215,8 +218,8 @@ impl ConvExecutor for DirectInt8Conv {
                     while x0 < out_w {
                         let x_end = (x0 + blocking.n_blk).min(out_w);
                         let mut k0 = 0;
-                        while k0 < kp {
-                            let k_end = (k0 + blocking.k_blk).min(kp);
+                        while k0 < kw {
+                            let k_end = (k0 + blocking.k_blk).min(kw);
                             for t in 0..r * r {
                                 let (dy, dx) = (t / r, t % r);
                                 let seed_first = t == 0;
@@ -225,7 +228,7 @@ impl ConvExecutor for DirectInt8Conv {
                                     let rb = (x_end - x1).min(blocking.row_blk);
                                     let mut k1 = k0;
                                     while k1 < k_end {
-                                        let cb = ((k_end - k1) / 16).min(blocking.col_blk);
+                                        let cb = col_tile(k_end - k1, blocking.col_blk);
                                         let seed = if seed_first {
                                             Seed::Zbar(unsafe { zbar.as_ptr().add(k1) })
                                         } else {
@@ -250,7 +253,7 @@ impl ConvExecutor for DirectInt8Conv {
                                                 cp,
                                                 u_ptr,
                                                 up.c4_stride(),
-                                                cp / 4,
+                                                cw / 4,
                                                 seed,
                                                 z_ptr,
                                                 z_stride,

@@ -360,12 +360,7 @@ impl ConvExecutor for DownScaleConv {
     /// values.
     fn saturation(&self) -> Option<(u64, u64)> {
         let (t, n, c, _) = self.v_panel.dims();
-        let mut sat = 0u64;
-        for ti in 0..t {
-            for ni in 0..n {
-                sat += lowino_quant::count_saturated_u8(self.v_panel.row(ti, ni));
-            }
-        }
+        let sat = lowino_quant::count_saturated_u8(self.v_panel.as_slice());
         Some((sat, (t * n * c) as u64))
     }
 }

@@ -510,16 +510,11 @@ impl ConvExecutor for LoWinoConv {
 
     /// Saturation of the last execute's Winograd-domain quantized `V`
     /// panel. Padding channels are zero bytes, which the compensated-u8
-    /// counter ignores, so scanning full padded rows is exact; `total`
+    /// counter ignores, so scanning the whole padded panel is exact; `total`
     /// counts only the real `T·N·C` values.
     fn saturation(&self) -> Option<(u64, u64)> {
         let (t, n, c, _) = self.v_panel.dims();
-        let mut sat = 0u64;
-        for ti in 0..t {
-            for ni in 0..n {
-                sat += lowino_quant::count_saturated_u8(self.v_panel.row(ti, ni));
-            }
-        }
+        let sat = lowino_quant::count_saturated_u8(self.v_panel.as_slice());
         Some((sat, (t * n * c) as u64))
     }
 

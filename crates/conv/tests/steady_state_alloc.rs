@@ -6,47 +6,53 @@
 //! * the fused LoWino schedule is bitwise identical to the retained
 //!   three-fork-join reference path.
 //!
-//! The allocation count comes from a counting `#[global_allocator]` that is
-//! armed only around the audited region (so the test harness's own
-//! allocations don't pollute the count).
+//! The allocation count comes from a counting `#[global_allocator]` whose
+//! audit is scoped to the test's own thread and its pool's workers (see
+//! `lowino_testkit::alloc_audit`): concurrently running sibling tests
+//! allocate on other threads and are never counted, so the zero assertions
+//! hold at any test-harness threading.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use lowino_conv::{
     calibrate_spatial, calibrate_winograd_domain, ConvContext, ConvExecutor, DirectInt8Conv,
     DownScaleConv, LoWinoConv, UpCastConv, WinogradF32Conv,
 };
 use lowino_tensor::{BlockedImage, ConvShape, Tensor4};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static ARMED: AtomicBool = AtomicBool::new(false);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+use lowino_testkit::alloc_audit::{self, AllocAudit, CountingAlloc};
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// Count heap allocations (on any thread) during `f`.
-fn count_allocs(f: impl FnOnce()) -> u64 {
-    ALLOCS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
-    f();
-    ARMED.store(false, Ordering::SeqCst);
-    ALLOCS.load(Ordering::SeqCst)
+/// Count the heap allocations `f` makes on this thread and on `ctx`'s pool
+/// workers.
+fn count_allocs(ctx: &mut ConvContext, f: impl FnOnce(&mut ConvContext)) -> u64 {
+    let audit = AllocAudit::new();
+    enlist_pool(ctx, Some(audit));
+    f(ctx);
+    enlist_pool(ctx, None);
+    audit.allocations()
+}
+
+/// Enlist every pool execution slot — the calling thread is worker 0 — in
+/// `audit` (or release them with `None`). One task per slot: the pool
+/// never steals a victim's last task, so each worker runs exactly its own,
+/// which the bitmask check confirms.
+fn enlist_pool(ctx: &mut ConvContext, audit: Option<AllocAudit>) {
+    let threads = ctx.pool.threads();
+    let ran = AtomicUsize::new(0);
+    ctx.pool.run(threads, |worker, _| {
+        match audit {
+            Some(a) => a.enlist(),
+            None => alloc_audit::leave(),
+        }
+        ran.fetch_or(1 << worker, Ordering::SeqCst);
+    });
+    assert_eq!(
+        ran.into_inner(),
+        (1 << threads) - 1,
+        "a pool worker was not enlisted"
+    );
 }
 
 fn test_image(spec: &ConvShape) -> BlockedImage {
@@ -76,15 +82,16 @@ fn lowino_steady_state_allocates_nothing_and_is_one_fork_join() {
         // Warm-up: the first execute on this shape grows the arenas.
         conv.execute(&img, &mut out, &mut ctx).unwrap();
 
-        let before = ctx.pool.fork_joins();
-        let allocs = count_allocs(|| {
+        let mut joins = 0;
+        let allocs = count_allocs(&mut ctx, |ctx| {
+            let before = ctx.pool.fork_joins();
             for _ in 0..3 {
-                conv.execute(&img, &mut out, &mut ctx).unwrap();
+                conv.execute(&img, &mut out, ctx).unwrap();
             }
+            joins = ctx.pool.fork_joins() - before;
         });
         assert_eq!(
-            ctx.pool.fork_joins() - before,
-            3,
+            joins, 3,
             "each execute must be exactly one fork-join (threads={threads})"
         );
         assert_eq!(
@@ -126,9 +133,9 @@ fn pipelined_multi_block_steady_state_allocates_nothing() {
         let mut ctx = ConvContext::new(threads);
         for (name, exec) in &mut executors {
             exec.execute(&img, &mut out, &mut ctx).unwrap();
-            let allocs = count_allocs(|| {
+            let allocs = count_allocs(&mut ctx, |ctx| {
                 for _ in 0..2 {
-                    exec.execute(&img, &mut out, &mut ctx).unwrap();
+                    exec.execute(&img, &mut out, ctx).unwrap();
                 }
             });
             assert_eq!(
@@ -143,9 +150,8 @@ fn pipelined_multi_block_steady_state_allocates_nothing() {
 /// lookup path (published-table probe + hot-shape counter bump) and a
 /// published-winner hit must both stay heap-free in steady state — the
 /// retuner's whole point is free swaps, not per-execute overhead. The
-/// runtime is built without a thread (`retune: None`) so the counting
-/// allocator, which counts every thread's allocations, sees only the
-/// execute path; a winner is published by hand to exercise the table hit.
+/// runtime is built without a thread (`retune: None`) so no retune work
+/// runs at all; a winner is published by hand to exercise the table hit.
 #[test]
 fn background_lookup_and_published_hit_stay_allocation_free() {
     use lowino_gemm::{GemmShape, TunePolicy, Wisdom};
@@ -169,9 +175,9 @@ fn background_lookup_and_published_hit_stay_allocation_free() {
     conv.execute(&img, &mut out, &mut ctx).unwrap();
 
     // Steady state on the cost-model-seed path (nothing published yet).
-    let allocs = count_allocs(|| {
+    let allocs = count_allocs(&mut ctx, |ctx| {
         for _ in 0..3 {
-            conv.execute(&img, &mut out, &mut ctx).unwrap();
+            conv.execute(&img, &mut out, ctx).unwrap();
         }
     });
     assert_eq!(allocs, 0, "Background lookup+note path must not touch the heap");
@@ -181,9 +187,9 @@ fn background_lookup_and_published_hit_stay_allocation_free() {
         .shared()
         .publish(tier, &shape, lowino_gemm::Blocking::default_for(&shape));
     conv.execute(&img, &mut out, &mut ctx).unwrap();
-    let allocs = count_allocs(|| {
+    let allocs = count_allocs(&mut ctx, |ctx| {
         for _ in 0..3 {
-            conv.execute(&img, &mut out, &mut ctx).unwrap();
+            conv.execute(&img, &mut out, ctx).unwrap();
         }
     });
     assert_eq!(allocs, 0, "published-winner hit must not touch the heap");

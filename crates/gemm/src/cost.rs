@@ -38,6 +38,10 @@
 //!    each task costs scheduling/steal bookkeeping, penalising tiny
 //!    `n_blk` on small shapes.
 //!
+//! Every term counts the extent the driver actually walks
+//! ([`GemmShape::walk`]: `C` to 4, `K` to 16), not the 64-padded panel
+//! storage, so narrow layers are not charged for padding they never touch.
+//!
 //! The absolute unit is arbitrary ("one issue slot"); only the ordering
 //! matters, and the ordering is what the top-K guard test checks.
 
@@ -45,7 +49,7 @@ use lowino_simd::SimdTier;
 use lowino_tensor::round_up;
 
 use crate::driver::{normalize_blocking, GemmShape};
-use crate::kernel::Blocking;
+use crate::kernel::{col_tile, Blocking, MAX_COL_BLK};
 
 /// Candidate register tiles, best-throughput-first on VNNI hardware.
 pub(crate) const REGISTER_TILES: &[(usize, usize)] =
@@ -134,26 +138,33 @@ impl GemmCostModel {
     /// deterministic: equal inputs give bit-equal outputs.
     pub fn cost(&self, tier: SimdTier, shape: &GemmShape, blocking: &Blocking) -> f64 {
         let b = normalize_blocking(blocking, shape);
-        let cp = round_up(shape.c, 4);
-        let kp = round_up(shape.k, 64);
+        let (cw, kw) = shape.walk();
         let n = shape.n.max(1);
         let t = shape.t.max(1) as f64;
 
-        let c_chunks = cp.div_ceil(b.c_blk) as f64;
-        let k_chunks = kp.div_ceil(b.k_blk);
+        let c_chunks = cw.div_ceil(b.c_blk) as f64;
+        let k_chunks = kw.div_ceil(b.k_blk);
         let n_blocks = n.div_ceil(b.n_blk);
-        let c4 = (cp / 4) as f64;
-        // `k_blk` is a multiple of 64 and `col_blk ∈ {1,2,4}` divides
-        // 64/16, so column tiles are never ragged; only rows are.
-        let col_tiles = (kp / (b.col_blk * 16)) as f64;
-        let w = b.col_blk as f64;
+        let c4 = (cw / 4) as f64;
+        // Column tiles by width, as the driver walks them: every full
+        // `k_blk` block (a multiple of 64) splits evenly into `col_blk`
+        // tiles; the last block ends at the 16-aligned `kw` and its tail
+        // may need narrower ones ([`col_tile`]).
+        let mut col_tiles = [0.0f64; MAX_COL_BLK + 1];
+        col_tiles[b.col_blk] = ((kw / b.k_blk) * (b.k_blk / (b.col_blk * 16))) as f64;
+        let mut rest = kw % b.k_blk;
+        while rest > 0 {
+            let w = col_tile(rest, b.col_blk);
+            col_tiles[w] += 1.0;
+            rest -= w * 16;
+        }
 
         // Filter-load cost per vector: successive row tiles re-read the
         // same packed `C_blk × K_blk` filter block, so when that block
         // fits L1 the re-reads are L1 hits; when it spills, every tile
         // streams its filters from L2 at roughly double the issue cost.
         let u_block = (b.c_blk * b.k_blk) as f64 / self.cache.l1_bytes as f64;
-        let w_load = if u_block > 1.0 { 2.0 * w } else { w };
+        let load_factor = if u_block > 1.0 { 2.0 } else { 1.0 };
 
         // Row-tile decomposition: `full_blocks` blocks of `n_blk` rows
         // plus one ragged block, each split into `row_blk`-high tiles
@@ -176,11 +187,18 @@ impl GemmCostModel {
                     continue;
                 }
                 let h = h_usize as f64;
-                // Per 4-channel group: h broadcasts + w loads + h·w dpbusd;
-                // per C chunk: the 2·h·w seed/store pass + fixed overhead.
-                let per_tile =
-                    c4 * (h + w_load + h * w) + c_chunks * (2.0 * h * w + TILE_OVERHEAD);
-                issue += block_count * tile_count * col_tiles * per_tile;
+                for (w_usize, &width_count) in col_tiles.iter().enumerate() {
+                    if width_count == 0.0 {
+                        continue;
+                    }
+                    let w = w_usize as f64;
+                    // Per 4-channel group: h broadcasts + w loads + h·w
+                    // dpbusd; per C chunk: the 2·h·w seed/store pass +
+                    // fixed overhead.
+                    let per_tile = c4 * (h + load_factor * w + h * w)
+                        + c_chunks * (2.0 * h * w + TILE_OVERHEAD);
+                    issue += block_count * tile_count * width_count * per_tile;
+                }
             }
         }
         let l1 = self.l1_footprint(shape, &b) as f64 / self.cache.l1_bytes as f64;
@@ -190,9 +208,9 @@ impl GemmCostModel {
         }
 
         // Blocked-reuse traffic per tile position (bytes).
-        let v_bytes = (n * cp * k_chunks) as f64;
-        let u_bytes = (cp * kp * n_blocks) as f64;
-        let z_bytes = (n * kp * 4) as f64 * (2.0 * c_chunks - 1.0);
+        let v_bytes = (n * cw * k_chunks) as f64;
+        let u_bytes = (cw * kw * n_blocks) as f64;
+        let z_bytes = (n * kw * 4) as f64 * (2.0 * c_chunks - 1.0);
         let l2 = self.l2_footprint(shape, &b) as f64 / self.cache.l2_bytes as f64;
         let mut traffic = BYTE_COST * t * (v_bytes + u_bytes + z_bytes);
         if l2 > 1.0 {

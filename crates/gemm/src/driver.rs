@@ -4,12 +4,18 @@
 //!
 //! ```text
 //! for n0 in N  step N_blk:          cache block over tiles
-//!   for k0 in K_p step K_blk:       cache block over output channels
-//!     for c0 in C_p step C_blk:     cache block over input channels
+//!   for k0 in K_w step K_blk:       cache block over output channels
+//!     for c0 in C_w step C_blk:     cache block over input channels
 //!       for n1 in block step row_blk:
 //!         for k1 in block step col_blk·16:
 //!           microkernel (Fig. 7)
 //! ```
+//!
+//! `(C_w, K_w)` is the walked extent [`GemmShape::walk`] — `C` rounded up
+//! to 4 and `K` to 16 — not the panels' 64-padded storage (`C_p`, `K_p`).
+//! On narrow layers (C = 3 or 8, K = 8) the difference is most of the
+//! arithmetic: a 64-padded walk would multiply zero padding in every
+//! C chunk and K column after the first.
 //!
 //! The first `C` chunk seeds the accumulators with the compensation row
 //! `Z̄[t]` (Eq. 9); subsequent chunks accumulate into `Z` — the in-cache
@@ -39,7 +45,7 @@ use core::ops::Range;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::kernel::{microkernel, Blocking, Seed, MAX_COL_BLK, MAX_ROW_BLK};
+use crate::kernel::{col_tile, microkernel, Blocking, Seed, MAX_COL_BLK, MAX_ROW_BLK};
 use crate::panels::{UPanel, VPanel, ZPanel};
 
 /// Logical dimensions of a batched Winograd GEMM.
@@ -56,25 +62,42 @@ pub struct GemmShape {
 }
 
 impl GemmShape {
-    /// Multiply-accumulate count (over padded operands).
+    /// The `(C, K)` extent the u8×i8 GEMM walks: `C` rounded up to one
+    /// `vpdpbusd` group (4 channels) and `K` to one ZMM of i32 lanes (16).
+    ///
+    /// The panels *store* both dimensions padded to 64 (`C_ALIGN`/`K_ALIGN`);
+    /// the walk stops short of that storage padding. Skipping it is exact:
+    /// padded `U` bytes and their `Z̄` entries are 0, so the skipped channels
+    /// would only add zeros, and the unwritten `Z` lanes `[K, K_p)` keep the
+    /// zeros the panel was allocated with — the value a padded walk stores.
+    pub fn walk(&self) -> (usize, usize) {
+        (round_up(self.c, 4), round_up(self.k, 16))
+    }
+
+    /// Multiply-accumulate count the GEMM executes (over the [`walk`]
+    /// extent) — what the `gemm/dpbusd_macs` trace counter reports.
+    ///
+    /// [`walk`]: GemmShape::walk
     pub fn macs(&self) -> u64 {
-        self.t as u64 * self.n as u64 * round_up(self.c, 4) as u64 * round_up(self.k, 64) as u64
+        let (cw, kw) = self.walk();
+        self.t as u64 * self.n as u64 * cw as u64 * kw as u64
     }
 }
 
 /// Clamp a requested blocking to a concrete shape, preserving validity.
 pub fn normalize_blocking(b: &Blocking, shape: &GemmShape) -> Blocking {
-    let cp = round_up(shape.c, 4);
-    let kp = round_up(shape.k, 64);
+    let (cw, kw) = shape.walk();
     let mut out = *b;
     out.n_blk = out.n_blk.clamp(1, shape.n.max(1));
-    out.c_blk = round_up(out.c_blk.clamp(4, cp), 4);
-    out.k_blk = round_up(out.k_blk.clamp(64, kp), 64);
+    out.c_blk = round_up(out.c_blk.clamp(4, cw), 4);
+    // `K_blk` stays a multiple of 64 (one packed cache block spans whole
+    // ZMM groups); the walk clips the last block to `kw`.
+    out.k_blk = round_up(out.k_blk.clamp(64, round_up(kw, 64)), 64);
     out.row_blk = out.row_blk.clamp(1, MAX_ROW_BLK);
     // The register tile can never be wider than the dispatch table allows or
-    // than one K cache block provides (k_blk/16 ZMM columns); round down to
-    // a power of two to stay in the kernel's {1, 2, 4} column set.
-    let col_cap = MAX_COL_BLK.min((out.k_blk / 16).max(1));
+    // than the walked part of one K cache block provides (ZMM columns);
+    // round down to a power of two to stay in the kernel's {1, 2, 4} set.
+    let col_cap = MAX_COL_BLK.min((out.k_blk.min(kw) / 16).max(1));
     out.col_blk = out.col_blk.clamp(1, col_cap);
     out.col_blk = 1 << out.col_blk.ilog2();
     out
@@ -133,8 +156,9 @@ pub struct GemmTasks<'a> {
     tier: SimdTier,
     shape: GemmShape,
     b: Blocking,
-    cp: usize,
-    kp: usize,
+    /// The walked `(C, K)` extent ([`GemmShape::walk`]).
+    cw: usize,
+    kw: usize,
     n_chunks: usize,
     v: &'a VPanel,
     u: &'a UPanel,
@@ -169,12 +193,16 @@ impl<'a> GemmTasks<'a> {
         let b = normalize_blocking(blocking, shape);
         b.validate().expect("invalid blocking");
         let n_chunks = shape.n.div_ceil(b.n_blk).max(1);
+        // The unsafe block walk relies on this: the walked extent stays
+        // inside the panels' storage.
+        let (cw, kw) = shape.walk();
+        assert!(cw <= vcp && kw <= ukp, "walk extent exceeds panel storage");
         Self {
             tier,
             shape: *shape,
             b,
-            cp: vcp,
-            kp: ukp,
+            cw,
+            kw,
             n_chunks,
             v,
             u,
@@ -201,8 +229,8 @@ impl<'a> GemmTasks<'a> {
     /// The packed size (bytes) of the largest `(K_blk, C_blk)` cache block
     /// a task will route through one [`PanelScratch`] slot.
     fn max_block_bytes(&self) -> usize {
-        // c4 groups × 4 bytes × k width = c_blk·k_blk clamped to the panel.
-        self.b.c_blk.min(self.cp) * self.b.k_blk.min(self.kp)
+        // c4 groups × 4 bytes × k width = c_blk·k_blk clamped to the walk.
+        self.b.c_blk.min(self.cw) * self.b.k_blk.min(self.kw)
     }
 
     /// Execute a contiguous task range through the worker's packing
@@ -226,18 +254,17 @@ impl<'a> GemmTasks<'a> {
             let n_end = (n0 + self.b.n_blk).min(self.shape.n);
             if tracing {
                 let rows = (n_end - n0) as u64;
-                let (cp, kp) = (self.cp as u64, self.kp as u64);
-                // Per task: V rows read (u8), the U panel streamed once
-                // (i8), and Z partial sums written (i32).
-                panel_bytes += rows * cp + cp * kp + rows * kp * 4;
-                macs += rows * cp * kp;
+                let (cw, kw) = (self.cw as u64, self.kw as u64);
+                // Per task: V rows read (u8), the walked U block streamed
+                // once (i8), and Z partial sums written (i32).
+                panel_bytes += rows * cw + cw * kw + rows * kw * 4;
+                macs += rows * cw * kw;
             }
             gemm_block(
                 self.tier,
                 &self.b,
-                &self.shape,
-                self.cp,
-                self.kp,
+                self.cw,
+                self.kw,
                 t,
                 n0,
                 n_end,
@@ -318,9 +345,8 @@ pub fn batched_gemm_u8i8(
 fn gemm_block(
     tier: SimdTier,
     b: &Blocking,
-    shape: &GemmShape,
-    cp: usize,
-    kp: usize,
+    cw: usize,
+    kw: usize,
     t: usize,
     n0: usize,
     n_end: usize,
@@ -331,16 +357,16 @@ fn gemm_block(
     tracing: bool,
     pack_ns: &mut u64,
 ) {
-    let _ = shape;
     let zbar = u.zbar(t);
     let z_stride = z.n_stride();
-    // The (k0, c0) cache blocks in walk order: k outer, c inner.
-    let c_chunks = cp.div_ceil(b.c_blk);
-    let blocks = kp.div_ceil(b.k_blk) * c_chunks;
+    // The (k0, c0) cache blocks in walk order: k outer, c inner. Only the
+    // walked extent is visited, never the panels' storage padding.
+    let c_chunks = cw.div_ceil(b.c_blk);
+    let blocks = kw.div_ceil(b.k_blk) * c_chunks;
     let bounds = |i: usize| {
         let k0 = (i / c_chunks) * b.k_blk;
         let c0 = (i % c_chunks) * b.c_blk;
-        (k0, (k0 + b.k_blk).min(kp), c0, (c0 + b.c_blk).min(cp))
+        (k0, (k0 + b.k_blk).min(kw), c0, (c0 + b.c_blk).min(cw))
     };
     // Pipeline prologue: block 0 has no compute to hide behind.
     pack_block(u, t, bounds(0), pack.slot_mut(0), tracing, pack_ns);
@@ -363,15 +389,14 @@ fn gemm_block(
         }
         // And this block's V rows at the current channel offset (the
         // kernel itself only reaches one register-row block ahead).
-        // SAFETY: (t, n0) is a valid row and c0 < cp.
+        // SAFETY: (t, n0) is a valid row and c0 < cw ≤ cp.
         prefetch_panel_rows(tier, unsafe { v.row_ptr(t, n0).add(c0) }, v.cp(), n_end - n0);
         let mut n1 = n0;
         while n1 < n_end {
             let rb = (n_end - n1).min(b.row_blk);
             let mut k1 = k0;
             while k1 < k_end {
-                let cb = ((k_end - k1) / 16).min(b.col_blk);
-                debug_assert!(cb > 0);
+                let cb = col_tile(k_end - k1, b.col_blk);
                 let seed = if first_chunk {
                     Seed::Zbar(unsafe { zbar.as_ptr().add(k1) })
                 } else {
@@ -430,8 +455,8 @@ fn pack_block(
     debug_assert!(dst.len() >= c4_count * kw4);
     for c4 in 0..c4_count {
         // SAFETY: the source run `(c0/4 + c4)·kp·4 + k0·4 .. + kw4` lies
-        // inside tile `t`'s interleave (c_end ≤ cp, k_end ≤ kp); `dst` is
-        // sized by `PanelScratch::ensure`.
+        // inside tile `t`'s interleave (the walk keeps c_end ≤ cp and
+        // k_end ≤ kp); `dst` is sized by `PanelScratch::ensure`.
         unsafe {
             core::ptr::copy_nonoverlapping(
                 u.block_ptr(t, k0).add((c0 / 4 + c4) * u.c4_stride()),

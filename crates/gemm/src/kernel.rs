@@ -57,6 +57,15 @@ pub const MAX_ROW_BLK: usize = 8;
 /// Largest `col_blk` the dispatch table instantiates (`col_blk` ∈ {1, 2, 4}).
 pub const MAX_COL_BLK: usize = 4;
 
+/// Width in ZMM columns of the register tile that covers the next
+/// `remaining` walked K lanes: the largest of the kernel's {1, 2, 4} column
+/// counts that fits both `remaining` and `col_blk`. Walk ends are
+/// 16-aligned rather than 64-aligned, so a 3-column tail runs as 2 + 1.
+#[inline]
+pub fn col_tile(remaining: usize, col_blk: usize) -> usize {
+    1 << (remaining / 16).min(col_blk).ilog2()
+}
+
 impl Blocking {
     /// The paper's register-budget constraint:
     /// `row_blk·col_blk + col_blk < 31` (one register reserved for the

@@ -61,6 +61,11 @@ impl VPanel {
         self.cp
     }
 
+    /// The whole `[T] × [N] × [C_p]` panel as one flat slice.
+    pub fn as_slice(&self) -> &[u8] {
+        self.buf.as_slice()
+    }
+
     #[inline]
     fn row_offset(&self, t: usize, n: usize) -> usize {
         debug_assert!(t < self.t && n < self.n);

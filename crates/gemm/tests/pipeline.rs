@@ -140,6 +140,53 @@ fn scratch_reuse_across_shapes_stays_exact() {
     }
 }
 
+/// Narrow layers walk only their real extent — `C` rounded up to 4 and `K`
+/// to 16 — not the panels' 64-padded storage. Across tiny channel counts,
+/// with cache blockings that split `C` into several chunks (the Z̄-seed →
+/// accumulate hand-off on a partial walk) and register tiles wider than
+/// the walk, `Z` must equal the reference (which sums over every padded
+/// channel) bitwise, and the unwalked lanes `[K, K_p)` must still read 0
+/// after repeated runs into the same panel. The last two `K` values span
+/// two K cache blocks whose tail is 1 or 3 ZMM columns wide.
+#[test]
+fn narrow_shapes_walk_real_extent_and_match_reference() {
+    let blockings = [
+        Blocking { n_blk: 5, c_blk: 4, k_blk: 64, row_blk: 3, col_blk: 4 },
+        Blocking { n_blk: 16, c_blk: 8, k_blk: 64, row_blk: 6, col_blk: 2 },
+        Blocking { n_blk: 7, c_blk: 64, k_blk: 64, row_blk: 4, col_blk: 1 },
+    ];
+    for tier in SimdTier::available() {
+        for c in [1usize, 3, 5, 8, 12] {
+            for k in [1usize, 8, 17, 24, 40, 72, 100] {
+                let shape = GemmShape { t: 2, n: 11, c, k };
+                let (v, u) = fill_panels(&shape, 0x5EED ^ (c as u64) << 8 ^ k as u64);
+                let want = reference_gemm(&v, &u, &shape);
+                let mut z = ZPanel::new(shape.t, shape.n, shape.k);
+                let (_, _, _, kg) = z.dims();
+                for blocking in blockings {
+                    let mut pool = StaticPool::new(2);
+                    for _ in 0..2 {
+                        batched_gemm_u8i8(tier, &shape, &blocking, &v, &u, &mut z, &mut pool);
+                    }
+                    for t in 0..shape.t {
+                        for n in 0..shape.n {
+                            for kk in 0..kg * 64 {
+                                let expect =
+                                    if kk < k { want[(t * shape.n + n) * k + kk] } else { 0 };
+                                assert_eq!(
+                                    z.get(t, n, kk),
+                                    expect,
+                                    "tier={tier} t={t} n={n} k={kk} ({shape:?}, {blocking:?})"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Traced pipelined runs always carry the new counters — `gemm/pack_ns`
 /// (pack time) and `gemm/steal` (thief-claimed chunk flag), emitted even
 /// when zero so CI greps are deterministic. The recorder is process-global;

@@ -4,44 +4,50 @@
 //! — every activation lives in the compile-time liveness-planned arena,
 //! and the per-op `BlockedImage` windows are raw views into it.
 //!
-//! Same counting-`#[global_allocator]` technique as the conv crate's
-//! `steady_state_alloc` test: the counter is armed only around the audited
-//! region so harness allocations don't pollute it.
+//! Same scoped counting-`#[global_allocator]` technique as the conv
+//! crate's `steady_state_alloc` test: the audit counts only this test's
+//! thread and the graph engine's pool workers, so sibling tests running
+//! concurrently cannot pollute it.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use lowino::Tensor4;
 use lowino_nn::{mini_resnet, mini_vgg, CompiledGraph, GraphSpec};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static ARMED: AtomicBool = AtomicBool::new(false);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
+use lowino_testkit::alloc_audit::{self, AllocAudit, CountingAlloc};
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// Count heap allocations (on any thread) during `f`.
-fn count_allocs(f: impl FnOnce()) -> u64 {
-    ALLOCS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
-    f();
-    ARMED.store(false, Ordering::SeqCst);
-    ALLOCS.load(Ordering::SeqCst)
+/// Count the heap allocations `f` makes on this thread and on the graph
+/// engine's pool workers.
+fn count_allocs(g: &mut CompiledGraph, f: impl FnOnce(&mut CompiledGraph)) -> u64 {
+    let audit = AllocAudit::new();
+    enlist_pool(g, Some(audit));
+    f(g);
+    enlist_pool(g, None);
+    audit.allocations()
+}
+
+/// Enlist every execution slot of the engine's pool — the calling thread
+/// is worker 0 — in `audit` (or release them with `None`). One task per
+/// slot: the pool never steals a victim's last task, so each worker runs
+/// exactly its own, which the bitmask check confirms.
+fn enlist_pool(g: &mut CompiledGraph, audit: Option<AllocAudit>) {
+    let pool = &mut g.engine_mut().context_mut().pool;
+    let threads = pool.threads();
+    let ran = AtomicUsize::new(0);
+    pool.run(threads, |worker, _| {
+        match audit {
+            Some(a) => a.enlist(),
+            None => alloc_audit::leave(),
+        }
+        ran.fetch_or(1 << worker, Ordering::SeqCst);
+    });
+    assert_eq!(
+        ran.into_inner(),
+        (1 << threads) - 1,
+        "a pool worker was not enlisted"
+    );
 }
 
 fn input(batch: usize) -> Tensor4 {
@@ -61,7 +67,7 @@ fn miniresnet_graph_execute_is_allocation_free_in_steady_state() {
     g.execute(&x, &mut logits).unwrap();
     let warm = logits.clone();
 
-    let allocs = count_allocs(|| {
+    let allocs = count_allocs(&mut g, |g| {
         for _ in 0..3 {
             g.execute(&x, &mut logits).unwrap();
         }
@@ -86,7 +92,7 @@ fn minivgg_graph_execute_is_allocation_free_in_steady_state() {
     let mut logits = Tensor4::zeros(2, 3, 1, 1);
     g.execute(&x, &mut logits).unwrap();
 
-    let allocs = count_allocs(|| {
+    let allocs = count_allocs(&mut g, |g| {
         g.execute(&x, &mut logits).unwrap();
     });
     assert_eq!(allocs, 0, "steady-state graph execute must not allocate");

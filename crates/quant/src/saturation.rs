@@ -17,12 +17,30 @@
 /// Count values in a `+128`-compensated u8 buffer that sit on the clamp
 /// bounds (`1` ⇔ −127, `255` ⇔ +127).
 pub fn count_saturated_u8(q: &[u8]) -> u64 {
-    q.iter().filter(|&&x| x == 1 || x == 255).count() as u64
+    count_chunked(q, |x| x == 1 || x == 255)
 }
 
 /// Count values in a signed i8 buffer that sit on the clamp bounds (±127).
 pub fn count_saturated_i8(q: &[i8]) -> u64 {
-    q.iter().filter(|&&x| x == 127 || x == -127).count() as u64
+    count_chunked(q, |x| x == 127 || x == -127)
+}
+
+/// Count the bytes matching `hit`, in 255-byte chunks: a chunk's count
+/// fits a `u8`, so each chunk folds in byte lanes — which the compiler
+/// vectorises into compare + subtract per 64 bytes — and widens once.
+/// These scans run after every guarded execute (the resilient layer's
+/// saturation check), so a per-byte `filter().count()` shows up in
+/// small-model latency.
+#[inline]
+fn count_chunked<T: Copy>(q: &[T], hit: impl Fn(T) -> bool + Copy) -> u64 {
+    q.chunks(255)
+        .map(|chunk| {
+            let n = chunk
+                .iter()
+                .fold(0u8, |n, &x| n.wrapping_add(u8::from(hit(x))));
+            u64::from(n)
+        })
+        .sum()
 }
 
 #[cfg(test)]
@@ -42,6 +60,24 @@ mod tests {
         let q = [0i8, 127, -127, -128, 126, 127];
         // −128 is outside the symmetric range and not a clamp target.
         assert_eq!(count_saturated_i8(&q), 3);
+    }
+
+    #[test]
+    fn chunked_counts_match_a_plain_filter_across_chunk_edges() {
+        // Lengths straddling the 255-byte chunk boundary, with every byte
+        // a hit in the dense case (a chunk count of exactly 255).
+        for len in [0usize, 1, 254, 255, 256, 510, 511, 1000] {
+            let dense_u8 = vec![255u8; len];
+            assert_eq!(count_saturated_u8(&dense_u8), len as u64);
+            let dense_i8 = vec![-127i8; len];
+            assert_eq!(count_saturated_i8(&dense_i8), len as u64);
+            let mixed: Vec<u8> = (0..len).map(|i| (i * 37 % 256) as u8).collect();
+            let want = mixed.iter().filter(|&&x| x == 1 || x == 255).count() as u64;
+            assert_eq!(count_saturated_u8(&mixed), want, "len={len}");
+            let signed: Vec<i8> = mixed.iter().map(|&x| x as i8).collect();
+            let want = signed.iter().filter(|&&x| x == 127 || x == -127).count() as u64;
+            assert_eq!(count_saturated_i8(&signed), want, "len={len}");
+        }
     }
 
     #[test]

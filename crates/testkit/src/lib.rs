@@ -2,8 +2,8 @@
 //! workspace build and test **hermetically**: no registry, no network, no
 //! third-party crates.
 //!
-//! Four pieces, each replacing an external dev-dependency the build
-//! environment cannot fetch:
+//! Pieces replacing external dev-dependencies the build environment
+//! cannot fetch, plus shared test machinery:
 //!
 //! * [`rng`] — deterministic xoshiro256++ PRNG (replaces `rand`) for
 //!   synthetic data, weight init and shuffles;
@@ -17,6 +17,8 @@
 //! * [`faults`] — the fault-injection registry: named sites compiled into
 //!   the production crates (zero-cost while disarmed), armed by tests or
 //!   `LOWINO_FAULT` to prove the graceful-degradation paths;
+//! * [`alloc_audit`] — a counting global allocator whose audits count only
+//!   enlisted threads, for deterministic zero-allocation assertions;
 //! * [`clock`] — virtual time ([`clock::VirtualClock`]) and a seeded
 //!   Poisson arrival stream ([`clock::PoissonArrivals`]) so the serving
 //!   stack's deadline/batching state machine is testable deterministically.
@@ -27,6 +29,7 @@
 //! itself be deterministic and always runnable — hence first-party and
 //! dependency-free.
 
+pub mod alloc_audit;
 pub mod bench;
 pub mod clock;
 pub mod faults;

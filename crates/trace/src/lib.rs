@@ -59,12 +59,15 @@ pub use ring::{Event, EventKind, Ring};
 /// Sized for the dynamically scheduled pool (DESIGN.md §11): work-stealing
 /// splits each phase into `O(log n)` chunks per worker and every chunk
 /// re-enters the instrumented phase body, multiplying per-phase event
-/// volume several-fold over the static schedule. 64 Ki events (2 MiB per
-/// emitting thread, allocated only while tracing) keeps a whole smoke-bench
-/// run — including the one-shot `graph/compile` events at its head — inside
-/// the retained window; CI greps for those names fail loudly if this ever
-/// regresses.
-pub const DEFAULT_RING_CAPACITY: usize = 64 * 1024;
+/// volume several-fold over the static schedule. Time-boxed runs emit in
+/// proportion to how fast the traced code is, not how much work it does:
+/// a smoke `models` run of the served width-8 model emits ~200 Ki events
+/// on its caller thread (~430 per forward). 512 Ki events (40 B each,
+/// ~20 MiB per emitting thread, allocated only while tracing) keeps that
+/// whole run — including the one-shot `graph/compile` events at its head —
+/// inside the retained window with ~2.5× headroom; CI greps for those
+/// names fail loudly if this ever regresses.
+pub const DEFAULT_RING_CAPACITY: usize = 512 * 1024;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static INIT: Once = Once::new();
